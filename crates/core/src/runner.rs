@@ -30,6 +30,12 @@
 //! bounded. The other five methods mirror their sequential
 //! single-RNG loops as before.
 //!
+//! [`ChunkedRunner::new_pooled`] selects the pool's law where it
+//! differs: MultipleRW then replays
+//! [`crate::parallel::ParallelWalkerPool::multiple_rw`] (per-walker
+//! streams, traces concatenated walker-major) one lockstep lane group
+//! at a time. FS is the same run either way.
+//!
 //! [`JobEstimator`] pairs the runner with the estimator suite: it
 //! consumes the runner's [`Sample`] stream (edges for the edge
 //! samplers, visited vertices for MHRW/RWJ, each with the statistically
@@ -37,7 +43,7 @@
 //! point mid-run — every defined value finite, every undefined value an
 //! explicit `None`, never NaN (see the estimator audit tests).
 
-use crate::batch::FsEventBatch;
+use crate::batch::{FsEventBatch, WalkerBatch};
 use crate::budget::{Budget, CostModel};
 use crate::checkpoint::{CheckpointError, Decoder, Encoder};
 use crate::estimators::population::PopulationCheckpoint;
@@ -50,6 +56,7 @@ use crate::parallel::{stream_seed, FS_GROWTH_HEADROOM};
 use crate::rwj::RwjDegreeDistributionEstimator;
 use crate::start::StartPolicy;
 use crate::walk::{self, StepOutcome};
+use fs_graph::csr::STEP_PIPELINE_WIDTH;
 use fs_graph::stats::DegreeKind;
 use fs_graph::{Arc, GraphAccess, NeighborReply, QueryKind, StepReply, VertexId};
 use rand::rngs::SmallRng;
@@ -207,6 +214,28 @@ enum State {
         d: usize,
         row: usize,
     },
+    /// MultipleRW under [`crate::parallel::ParallelWalkerPool::multiple_rw`]'s
+    /// law: walker `i` draws from its own stream
+    /// [`stream_seed`]`(base_seed, i)`. Walkers are stepped one lockstep
+    /// [`WalkerBatch`] group of `width` lanes at a time; the group's
+    /// traces are buffered and emitted walker-major, which is the
+    /// pool's EqualSplit concatenation, so the stream is bit-identical
+    /// to the pool's at any chunk size. Memory is one group's traces.
+    MultipleStreams {
+        starts: Vec<VertexId>,
+        base_seed: u64,
+        /// Lanes per group.
+        width: usize,
+        per_walker: usize,
+        /// Index of the next group to generate (`group - 1` is buffered).
+        group: usize,
+        /// The buffered group's outcomes, walker-major.
+        buffer: Vec<StepOutcome>,
+        /// Next unemitted outcome in `buffer`.
+        cursor: usize,
+        /// Outcomes emitted so far; the deferred spend at completion.
+        emitted: usize,
+    },
     Mhrw {
         v: VertexId,
         d: usize,
@@ -267,6 +296,36 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
         budget_total: f64,
         seed: u64,
     ) -> Self {
+        Self::init(spec, access, cost, budget_total, seed, false)
+    }
+
+    /// Starts a run that replays [`ParallelWalkerPool`]'s law with
+    /// `seed`: FS is the same run as [`ChunkedRunner::new`] (its arm
+    /// already is the pool's), MultipleRW draws from per-walker streams
+    /// and equals [`ParallelWalkerPool::multiple_rw`] bit for bit. The
+    /// other samplers have no pooled form.
+    ///
+    /// [`ParallelWalkerPool`]: crate::parallel::ParallelWalkerPool
+    /// [`ParallelWalkerPool::multiple_rw`]: crate::parallel::ParallelWalkerPool::multiple_rw
+    pub fn new_pooled(
+        spec: &SamplerSpec,
+        access: &'a A,
+        cost: &CostModel,
+        budget_total: f64,
+        seed: u64,
+    ) -> Result<Self, String> {
+        check_pooled(spec)?;
+        Ok(Self::init(spec, access, cost, budget_total, seed, true))
+    }
+
+    fn init(
+        spec: &SamplerSpec,
+        access: &'a A,
+        cost: &CostModel,
+        budget_total: f64,
+        seed: u64,
+        pooled: bool,
+    ) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut budget = Budget::new(budget_total);
         let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
@@ -312,6 +371,17 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
                 let starts = start.draw(access, m, cost, &mut budget, &mut rng);
                 if starts.is_empty() {
                     State::Drained
+                } else if pooled {
+                    State::MultipleStreams {
+                        per_walker: budget.affordable(step_cost) / starts.len(),
+                        starts,
+                        base_seed: seed,
+                        width: STEP_PIPELINE_WIDTH,
+                        group: 0,
+                        buffer: Vec::new(),
+                        cursor: 0,
+                        emitted: 0,
+                    }
                 } else {
                     let per_walker = budget.affordable(step_cost) / starts.len();
                     let v = starts[0];
@@ -402,7 +472,9 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
             return 1.0;
         }
         let pending = match &self.state {
-            State::Frontier { emitted, .. } => *emitted as f64 * self.step_cost,
+            State::Frontier { emitted, .. } | State::MultipleStreams { emitted, .. } => {
+                *emitted as f64 * self.step_cost
+            }
             _ => 0.0,
         };
         ((self.budget.spent() + pending) / total).clamp(0.0, 1.0)
@@ -594,6 +666,39 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
                 }
                 false
             }
+            // Mirrors `ParallelWalkerPool::multiple_rw` (EqualSplit):
+            // each attempt emits the next buffered outcome, stepping the
+            // next lane group when the buffer runs dry, and the spend is
+            // deferred to one `force_spend` at the end like the pool's.
+            State::MultipleStreams {
+                starts,
+                base_seed,
+                width,
+                per_walker,
+                group,
+                buffer,
+                cursor,
+                emitted,
+            } => {
+                while *cursor >= buffer.len() {
+                    let lo = *group * *width;
+                    if lo >= starts.len() {
+                        self.budget.force_spend(*emitted as f64 * self.step_cost);
+                        return true;
+                    }
+                    let hi = (lo + *width).min(starts.len());
+                    stream_group(access, &starts[lo..hi], *base_seed, lo, *per_walker, buffer);
+                    *group += 1;
+                    *cursor = 0;
+                }
+                let outcome = buffer[*cursor];
+                *cursor += 1;
+                *emitted += 1;
+                if let StepOutcome::Edge(edge) = outcome {
+                    sink(Sample::Edge(edge));
+                }
+                false
+            }
             // Mirrors `MetropolisHastingsRw::sample_vertices`.
             State::Mhrw { v, d, row } => {
                 if !self.budget.try_spend(self.step_cost) {
@@ -703,6 +808,54 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
                 }
             }
         }
+    }
+}
+
+/// Rejects samplers the walker pool has no law for.
+fn check_pooled(spec: &SamplerSpec) -> Result<(), String> {
+    match spec {
+        SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. } => Ok(()),
+        other => Err(format!(
+            "pooled execution supports frontier and multiple samplers, not '{}'",
+            other.label()
+        )),
+    }
+}
+
+/// Steps walkers `first..first + starts.len()` of a per-walker-stream
+/// MultipleRW run as one lockstep [`WalkerBatch`] group — `quota`
+/// attempts each, a walker retiring at its first isolated step — and
+/// refills `out` with their traces walker-major. Every lane draws only
+/// from its own stream, so the traces equal the pool's at any grouping.
+fn stream_group<A: GraphAccess + ?Sized>(
+    access: &A,
+    starts: &[VertexId],
+    base_seed: u64,
+    first: usize,
+    quota: usize,
+    out: &mut Vec<StepOutcome>,
+) {
+    let seeds: Vec<u64> = (first..first + starts.len())
+        .map(|i| stream_seed(base_seed, i as u64))
+        .collect();
+    let mut batch = WalkerBatch::new(access, starts, &seeds);
+    let mut traces: Vec<Vec<StepOutcome>> = vec![Vec::new(); starts.len()];
+    let mut halted = vec![false; starts.len()];
+    let mut due = Vec::with_capacity(starts.len());
+    loop {
+        due.clear();
+        due.extend((0..starts.len()).filter(|&lane| !halted[lane] && traces[lane].len() < quota));
+        if due.is_empty() {
+            break;
+        }
+        batch.step_lanes(access, &due, |lane, stepped, _| {
+            traces[lane].push(stepped.outcome);
+            halted[lane] = stepped.outcome == StepOutcome::Isolated;
+        });
+    }
+    out.clear();
+    for trace in &traces {
+        out.extend_from_slice(trace);
     }
 }
 
@@ -921,6 +1074,30 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
                 enc.put_usize(*d);
                 enc.put_usize(*row);
             }
+            // The buffered group is not stored: resume regenerates it
+            // from its starts and seeds.
+            State::MultipleStreams {
+                starts,
+                base_seed,
+                width,
+                per_walker,
+                group,
+                buffer: _,
+                cursor,
+                emitted,
+            } => {
+                enc.put_u8(7);
+                enc.put_usize(starts.len());
+                for &s in starts {
+                    put_vertex(&mut enc, s);
+                }
+                enc.put_u64(*base_seed);
+                enc.put_usize(*width);
+                enc.put_usize(*per_walker);
+                enc.put_usize(*group);
+                enc.put_usize(*cursor);
+                enc.put_usize(*emitted);
+            }
             State::Mhrw { v, d, row } => {
                 enc.put_u8(4);
                 put_vertex(&mut enc, *v);
@@ -970,6 +1147,28 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
         spec: &SamplerSpec,
         access: &'a A,
         bytes: &[u8],
+    ) -> Result<Self, CheckpointError> {
+        Self::resume_law(spec, access, bytes, false)
+    }
+
+    /// [`ChunkedRunner::resume`] for a run started by
+    /// [`ChunkedRunner::new_pooled`]. A MultipleRW checkpoint must carry
+    /// the law it is resumed under; a sequential one is rejected here
+    /// and a pooled one by `resume`.
+    pub fn resume_pooled(
+        spec: &SamplerSpec,
+        access: &'a A,
+        bytes: &[u8],
+    ) -> Result<Self, CheckpointError> {
+        check_pooled(spec).map_err(CheckpointError::Malformed)?;
+        Self::resume_law(spec, access, bytes, true)
+    }
+
+    fn resume_law(
+        spec: &SamplerSpec,
+        access: &'a A,
+        bytes: &[u8],
+        pooled: bool,
     ) -> Result<Self, CheckpointError> {
         let (mut dec, _version) =
             Decoder::with_checked_header(bytes, RUNNER_MAGIC, RUNNER_VERSION)?;
@@ -1088,6 +1287,58 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
                     row: dec.take_usize()?,
                 }
             }
+            7 => {
+                let n_starts = dec.take_usize()?;
+                if n_starts > MAX_CHECKPOINT_LANES {
+                    return Err(CheckpointError::Malformed(format!(
+                        "implausible walker count {n_starts}"
+                    )));
+                }
+                let mut starts = Vec::with_capacity(n_starts);
+                for _ in 0..n_starts {
+                    starts.push(take_vertex(&mut dec)?);
+                }
+                let base_seed = dec.take_u64()?;
+                let width = dec.take_usize()?;
+                let per_walker = dec.take_usize()?;
+                let group = dec.take_usize()?;
+                let cursor = dec.take_usize()?;
+                let emitted = dec.take_usize()?;
+                if width == 0 || group > n_starts.div_ceil(width) {
+                    return Err(CheckpointError::Malformed("invalid lane group".into()));
+                }
+                if per_walker > MAX_CHECKPOINT_BUFFER {
+                    return Err(CheckpointError::Malformed(format!(
+                        "implausible walker quota {per_walker}"
+                    )));
+                }
+                let mut buffer = Vec::new();
+                if group > 0 && !finished {
+                    let lo = (group - 1) * width;
+                    let hi = lo.saturating_add(width).min(n_starts);
+                    stream_group(
+                        access,
+                        &starts[lo..hi],
+                        base_seed,
+                        lo,
+                        per_walker,
+                        &mut buffer,
+                    );
+                }
+                if cursor > buffer.len() {
+                    return Err(CheckpointError::Malformed("buffer cursor past end".into()));
+                }
+                State::MultipleStreams {
+                    starts,
+                    base_seed,
+                    width,
+                    per_walker,
+                    group,
+                    buffer,
+                    cursor,
+                    emitted,
+                }
+            }
             4 => State::Mhrw {
                 v: take_vertex(&mut dec)?,
                 d: dec.take_usize()?,
@@ -1116,6 +1367,15 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
                 )))
             }
         };
+        let streams = matches!(state, State::MultipleStreams { .. });
+        let want_streams = pooled && matches!(stored, SamplerSpec::Multiple { .. });
+        if !matches!(state, State::Drained) && streams != want_streams {
+            return Err(CheckpointError::Malformed(format!(
+                "checkpoint of a {} MultipleRW run cannot resume as a {} one",
+                if streams { "pooled" } else { "sequential" },
+                if want_streams { "pooled" } else { "sequential" },
+            )));
+        }
         dec.finish()?;
         Ok(ChunkedRunner {
             access,
@@ -1135,7 +1395,8 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
 /// cannot drive a huge allocation before failing.
 const MAX_CHECKPOINT_LANES: usize = 1 << 28;
 /// Same bound for the FS event buffer (sized by `FS_RUNNER_WINDOW` plus
-/// one refill overshoot in practice).
+/// one refill overshoot in practice) and the pooled MultipleRW
+/// per-walker quota (which sizes the regenerated lane group).
 const MAX_CHECKPOINT_BUFFER: usize = 1 << 28;
 
 /// Which estimate a job reports.

@@ -203,3 +203,110 @@ fn vertex_and_edge_streams_have_the_declared_kind() {
         }
     }
 }
+
+/// The pooled law's reference: `pool.multiple_rw` with the same seed.
+fn pool_multiple_rw(m: usize, g: &Graph, budget_units: f64, seed: u64) -> (Vec<Sample>, f64) {
+    let mut budget = Budget::new(budget_units);
+    let run = ParallelWalkerPool::with_threads(2).multiple_rw(
+        &MultipleRw::new(m),
+        g,
+        &CostModel::unit(),
+        &mut budget,
+        seed,
+    );
+    let samples = run.edges().map(Sample::Edge).collect();
+    (samples, budget.spent())
+}
+
+/// Drives a pooled runner to completion, serializing and resuming from
+/// the bytes after every `resume_every`-th chunk (never, when 0).
+fn pooled_samples(
+    spec: &SamplerSpec,
+    g: &Graph,
+    budget_units: f64,
+    seed: u64,
+    chunk: usize,
+    resume_every: usize,
+) -> (Vec<Sample>, f64, u64) {
+    let mut runner =
+        ChunkedRunner::new_pooled(spec, g, &CostModel::unit(), budget_units, seed).unwrap();
+    let mut out = Vec::new();
+    let mut chunks = 0usize;
+    while runner.run_chunk(chunk, |s| out.push(s)) == ChunkStatus::InProgress {
+        chunks += 1;
+        assert!(chunks < 10_000_000, "runner failed to terminate");
+        if resume_every > 0 && chunks.is_multiple_of(resume_every) {
+            runner = ChunkedRunner::resume_pooled(spec, g, &runner.serialize()).unwrap();
+        }
+    }
+    (out, runner.budget_spent(), runner.steps_done())
+}
+
+#[test]
+fn pooled_multiple_rw_equals_the_pool_for_every_chunk_size() {
+    let g = fixture();
+    let disconnected =
+        fs_graph::graph_from_undirected_pairs(9, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7)]);
+    // m = 40 spans three lane groups (the last one partial); the
+    // disconnected graph has an isolated vertex, so some walkers retire
+    // at their first step.
+    for (g, m, budget) in [
+        (&g, 4, 700.0),
+        (&g, 40, 2_000.0),
+        (&disconnected, 20, 300.0),
+    ] {
+        let spec = SamplerSpec::Multiple { m };
+        for seed in [1u64, 42, 0xFE5] {
+            let (expect, expect_spent) = pool_multiple_rw(m, g, budget, seed);
+            assert!(!expect.is_empty(), "m={m}: pool run empty");
+            for chunk in [1usize, 7, 64, usize::MAX] {
+                let (got, got_spent, _) = pooled_samples(&spec, g, budget, seed, chunk, 0);
+                assert_eq!(
+                    got, expect,
+                    "m={m} seed {seed} chunk {chunk}: stream diverged"
+                );
+                assert_eq!(
+                    got_spent, expect_spent,
+                    "m={m} seed {seed} chunk {chunk}: spend"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn pooled_runs_resume_bit_identically_at_any_chunk_boundary() {
+    let g = fixture();
+    for spec in [
+        SamplerSpec::Multiple { m: 40 },
+        SamplerSpec::Frontier { m: 5 },
+    ] {
+        let (expect, expect_spent, expect_steps) = pooled_samples(&spec, &g, 2_000.0, 9, 1, 0);
+        for (chunk, every) in [(1usize, 1usize), (7, 3), (64, 1)] {
+            let (got, spent, steps) = pooled_samples(&spec, &g, 2_000.0, 9, chunk, every);
+            assert_eq!(got, expect, "{} chunk {chunk}", spec.label());
+            assert_eq!(spent, expect_spent);
+            assert_eq!(steps, expect_steps);
+        }
+    }
+    // Pooled FS is the sequential FS run.
+    let spec = SamplerSpec::Frontier { m: 5 };
+    assert_eq!(
+        pooled_samples(&spec, &g, 700.0, 3, 64, 0).0,
+        chunked_samples(&spec, &g, 700.0, 3, 64).0
+    );
+}
+
+#[test]
+fn multiple_rw_checkpoints_keep_their_law() {
+    let g = fixture();
+    let spec = SamplerSpec::Multiple { m: 8 };
+    let cost = CostModel::unit();
+    let mut pooled = ChunkedRunner::new_pooled(&spec, &g, &cost, 500.0, 5).unwrap();
+    let mut sequential = ChunkedRunner::new(&spec, &g, &cost, 500.0, 5);
+    pooled.run_chunk(10, |_| {});
+    sequential.run_chunk(10, |_| {});
+    assert!(ChunkedRunner::resume(&spec, &g, &pooled.serialize()).is_err());
+    assert!(ChunkedRunner::resume_pooled(&spec, &g, &sequential.serialize()).is_err());
+    assert!(ChunkedRunner::new_pooled(&SamplerSpec::Single, &g, &cost, 500.0, 5).is_err());
+}

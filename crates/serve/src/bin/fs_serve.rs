@@ -2,10 +2,10 @@
 //! stores.
 //!
 //! ```text
-//! fs-serve --root stores [--addr 127.0.0.1:8080] [--conn-workers 4]
-//!          [--job-workers 2] [--max-queue 256] [--store-capacity 8]
-//!          [--hugepages off|try|require] [--cache-capacity 4096]
-//!          [--cache-mb 64] [--journal-dir DIR] [--trace-log FILE]
+//! fs-serve --root stores [--addr 127.0.0.1:8080] [--job-workers 2]
+//!          [--max-queue 256] [--store-capacity 8] [--hugepages off|try|require]
+//!          [--cache-capacity 4096] [--cache-mb 64] [--journal-dir DIR]
+//!          [--trace-log FILE]
 //! ```
 //!
 //! Observability: `GET /metrics` renders every operational counter,
@@ -53,8 +53,8 @@ use std::io::BufRead;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fs-serve --root DIR [--addr HOST:PORT] [--conn-workers N] \
-         [--job-workers N] [--max-queue N] [--store-capacity N] \
+        "usage: fs-serve --root DIR [--addr HOST:PORT] [--job-workers N] \
+         [--max-queue N] [--store-capacity N] \
          [--hugepages off|try|require] [--cache-capacity N] [--cache-mb N] \
          [--journal-dir DIR] [--trace-log FILE] [--no-stdin]"
     );
@@ -64,7 +64,6 @@ fn usage() -> ! {
 fn main() {
     let mut root: Option<String> = None;
     let mut addr = "127.0.0.1:8080".to_string();
-    let mut conn_workers = 4usize;
     let mut job_workers = 2usize;
     let mut max_queue = 256usize;
     let mut store_capacity = 8usize;
@@ -92,7 +91,6 @@ fn main() {
         match a.as_str() {
             "--root" => root = args.next(),
             "--addr" => addr = parsed(args.next(), "--addr"),
-            "--conn-workers" => conn_workers = parsed(args.next(), "--conn-workers"),
             "--job-workers" => job_workers = parsed(args.next(), "--job-workers"),
             "--max-queue" => max_queue = parsed(args.next(), "--max-queue"),
             "--store-capacity" => store_capacity = parsed(args.next(), "--store-capacity"),
@@ -134,7 +132,6 @@ fn main() {
 
     let mut config = Config::new(&root);
     config.addr = addr;
-    config.conn_workers = conn_workers.max(1);
     config.job_workers = job_workers.max(1);
     config.max_queue = max_queue.max(1);
     config.store_capacity = store_capacity.max(1);

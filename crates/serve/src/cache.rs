@@ -4,9 +4,9 @@
 //! ## Why caching is sound here
 //!
 //! Every job result in this system is a **pure function** of the store
-//! content, the job spec, and the seed: sequential jobs inherit the
-//! `ChunkedRunner` bit-identity contract, pooled jobs inherit the
-//! thread-count-independent `ParallelWalkerPool` reductions. Ribeiro &
+//! content, the job spec, and the seed: every job inherits the
+//! `ChunkedRunner` bit-identity contract, and pooled jobs run the law
+//! of the thread-count-independent `ParallelWalkerPool`. Ribeiro &
 //! Towsley's estimators depend only on the budget-`B` sample path, and
 //! the sample path depends only on `(graph, spec, seed)` — so a cached
 //! response is byte-equal to a recomputed one, forever. The cache is an
@@ -25,12 +25,12 @@
 //!   bit pattern (`f64::to_bits`) — the RNG consumes the exact bits;
 //! * `budget` by bit pattern, for the same reason;
 //! * the `seed` and the estimator variant;
-//! * a **pooled flag**: pooled and sequential runs of the same spec are
-//!   proven bit-identical *to their own reference paths*; FS pooled vs
-//!   sequential factorize the event stream differently, so the cache
-//!   conservatively keys them apart rather than assuming cross-path
-//!   equality. (`pool_threads`'s *count* is deliberately excluded: the
-//!   pool is bit-identical at every thread count.)
+//! * a **pooled flag for MultipleRW only**: pooled MultipleRW draws
+//!   from per-walker RNG streams, the sequential arm from one shared
+//!   stream, so their bits differ. FS has one law — sequential and
+//!   pooled FS jobs are the same runner arm — so its pooled flag is
+//!   dropped and the twins share an entry. (`pool_threads`'s *count*
+//!   is excluded everywhere: it has no effect on the bits.)
 //!
 //! ## Bounds
 //!
@@ -69,7 +69,8 @@ enum SamplerKey {
 }
 
 impl CacheKey {
-    /// Builds the canonical key for one job.
+    /// Builds the canonical key for one job. `pooled` only separates
+    /// MultipleRW (see the [module docs](self)).
     pub fn new(
         digest: u64,
         sampler: &SamplerSpec,
@@ -78,6 +79,7 @@ impl CacheKey {
         estimator: EstimatorSpec,
         pooled: bool,
     ) -> CacheKey {
+        let is_multiple = matches!(sampler, SamplerSpec::Multiple { .. });
         let sampler = match *sampler {
             SamplerSpec::Frontier { m } => SamplerKey::Frontier(m),
             SamplerSpec::Single => SamplerKey::Single,
@@ -100,7 +102,7 @@ impl CacheKey {
             budget_bits: budget.to_bits(),
             seed,
             estimator,
-            pooled,
+            pooled: pooled && is_multiple,
         }
     }
 
@@ -385,21 +387,27 @@ mod tests {
                 EstimatorSpec::Clustering,
                 false,
             ),
-            // pooled execution path
-            CacheKey::new(
-                1,
-                &SamplerSpec::Frontier { m: 16 },
-                20_000.0,
-                7,
-                EstimatorSpec::AverageDegree,
-                true,
-            ),
         ];
         for variant in &variants {
             assert_ne!(variant, &base);
             assert_eq!(cache.get(variant), None, "{variant:?} must miss");
         }
         assert_eq!(cache.get(&base), Some(result(1)));
+    }
+
+    #[test]
+    fn pooled_flag_separates_only_multiple_rw() {
+        let k = |sampler: SamplerSpec, pooled: bool| {
+            CacheKey::new(1, &sampler, 2e4, 7, EstimatorSpec::AverageDegree, pooled)
+        };
+        assert_eq!(
+            k(SamplerSpec::Frontier { m: 16 }, true),
+            k(SamplerSpec::Frontier { m: 16 }, false)
+        );
+        assert_ne!(
+            k(SamplerSpec::Multiple { m: 16 }, true),
+            k(SamplerSpec::Multiple { m: 16 }, false)
+        );
     }
 
     #[test]

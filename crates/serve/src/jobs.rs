@@ -12,31 +12,35 @@
 //! [`frontier_sampling::runner::ChunkedRunner`] chunk by chunk; after
 //! every chunk the shared state gets a fresh progress figure and
 //! estimator snapshot (what `GET /v1/jobs/{id}` serves as *partial*
-//! results), and the cancel/shutdown flags are honoured. Pooled jobs
-//! are the one exception to chunk-granular cancellation: the pool's
-//! event-generation phase runs to completion before the (cancellable,
-//! chunked) estimator feed — which is why pooled budgets are capped at
-//! submit, keeping that phase seconds at worst.
+//! results), and the cancel/shutdown flags are honoured. Every job,
+//! pooled or not, runs this one chunked, cancellable and
+//! journal-checkpointed loop.
 //!
 //! ## Determinism
 //!
-//! Sequential jobs inherit the runner's contract: seed `s` ⇒
-//! bit-identical to the library call with seed `s`. Pooled jobs
-//! (`pool_threads`, FS and MultipleRW only) run
-//! [`ParallelWalkerPool::frontier`]/[`ParallelWalkerPool::multiple_rw`],
-//! which are bit-identical at every thread count — so a pooled job's
-//! result is a pure function of `(store content, spec, seed)`, not of
-//! the server's thread schedule. Pinned end-to-end by the
+//! Every job inherits the runner's contract: seed `s` ⇒ bit-identical
+//! to the library call with seed `s`. `pool_threads` (FS and MultipleRW
+//! only) selects the walker pool's law through
+//! [`ChunkedRunner::new_pooled`]: pooled MultipleRW equals
+//! [`ParallelWalkerPool::multiple_rw`] (per-walker streams), pooled FS
+//! is the same run as sequential FS, which already equals
+//! [`ParallelWalkerPool::frontier`]. The thread count itself has no
+//! effect — the pool is bit-identical at every count and the runner
+//! walks on the job's worker thread — so a job's result is a pure
+//! function of `(store content, spec, seed)`. Pinned end-to-end by the
 //! `determinism` integration test.
+//!
+//! [`ParallelWalkerPool::multiple_rw`]: frontier_sampling::ParallelWalkerPool::multiple_rw
+//! [`ParallelWalkerPool::frontier`]: frontier_sampling::ParallelWalkerPool::frontier
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::journal::{JobCheckpoint, Journal, Replay};
 use crate::obs::ServeObs;
 use crate::registry::{RegistryError, StoreRegistry};
 use frontier_sampling::runner::{
-    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
+    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, SamplerSpec,
 };
-use frontier_sampling::{Budget, CostModel, FrontierSampler, MultipleRw, ParallelWalkerPool};
+use frontier_sampling::CostModel;
 use fs_graph::{CountedAccess, ShardedCounter};
 use fs_obs::FieldValue;
 use fs_store::MmapGraph;
@@ -58,8 +62,10 @@ pub struct JobSpec {
     pub seed: u64,
     /// Which estimate to report.
     pub estimator: EstimatorSpec,
-    /// `Some(t)`: run on the deterministic walker pool with `t`
-    /// threads (FS and MultipleRW only). `None`: sequential.
+    /// `Some(t)`: run under the deterministic walker pool's law (FS
+    /// and MultipleRW only); for MultipleRW that means per-walker RNG
+    /// streams. `t` is validated and journaled but spawns no threads.
+    /// `None`: sequential.
     pub pool_threads: Option<usize>,
 }
 
@@ -263,12 +269,13 @@ const MAX_WALKERS: usize = 1_000_000;
 /// stage, but there is no reason to accept absurd values).
 const MAX_POOL_THREADS: usize = 256;
 
-/// Budget cap for pooled jobs — bounds the uninterruptible pool
-/// generation phase so cancellation/shutdown latency stays small (a
-/// 100M-step FS walk completes in seconds on this class of hardware).
-const MAX_POOLED_BUDGET: f64 = 1e8;
+/// Budget cap for pooled MultipleRW jobs — their runner arm buffers one
+/// lane group's traces (up to the whole walk when `m` is small), so the
+/// cap bounds that buffer's memory and the one uninterruptible group
+/// refill.
+const MAX_POOLED_MULTIPLE_BUDGET: f64 = 1e8;
 
-/// Sequential jobs write a journal checkpoint every this many chunks
+/// Running jobs write a journal checkpoint every this many chunks
 /// (~32k attempts at the default chunk size): frequent enough that a
 /// crash re-does seconds of work, rare enough that serializing walker
 /// state never shows up in the profile.
@@ -396,16 +403,13 @@ impl JobManager {
                     spec.sampler.label()
                 )));
             }
-            // The pool generates its whole event stream before the
-            // chunked (cancellable) feed phase, so the walk phase runs
-            // uninterruptible — bound it so cancellation and shutdown
-            // stay prompt. Sequential jobs cancel at every chunk and
-            // take any budget.
-            if spec.budget > MAX_POOLED_BUDGET {
+            if matches!(spec.sampler, SamplerSpec::Multiple { .. })
+                && spec.budget > MAX_POOLED_MULTIPLE_BUDGET
+            {
                 return Err(SubmitError::Invalid(format!(
-                    "pooled jobs are capped at a budget of {MAX_POOLED_BUDGET:.0} \
-                     (the pool's generation phase is not cancellable); \
-                     drop pool_threads for larger budgets"
+                    "pooled multiple jobs are capped at a budget of \
+                     {MAX_POOLED_MULTIPLE_BUDGET:.0} (a lane group's traces are \
+                     buffered); drop pool_threads for larger budgets"
                 )));
             }
         }
@@ -936,13 +940,8 @@ impl JobManager {
             }
         };
 
-        let pooled = if let Some(threads) = spec.pool_threads {
-            self.run_pooled(shared, graph, threads, &mut estimator)
-        } else {
-            Ok(self.run_sequential(id, shared, graph, &mut estimator))
-        };
-        let cancelled = match pooled {
-            Ok(cancelled) => cancelled,
+        let (cancelled, steps_done) = match self.run_chunked(id, shared, graph, &mut estimator) {
+            Ok(outcome) => outcome,
             Err(why) => {
                 self.fail_job(id, shared, why);
                 return;
@@ -950,27 +949,11 @@ impl JobManager {
         };
 
         let snapshot = estimator.snapshot();
-        let mut state = shared.state.lock().expect("job poisoned");
-        state.snapshot = Some(snapshot.clone());
-        if cancelled {
-            state.phase = JobPhase::Cancelled;
-            let steps_done = state.steps_done;
-            drop(state);
-            if let Some(journal) = &self.journal {
-                journal.terminal(id, JobPhase::Cancelled, None, steps_done, None);
-            }
-            self.observe_terminal(id, JobPhase::Cancelled, steps_done);
-        } else {
-            state.progress = 1.0;
-            state.phase = JobPhase::Done;
-            let steps_done = state.steps_done;
-            drop(state);
-            if let Some(journal) = &self.journal {
-                journal.terminal(id, JobPhase::Done, None, steps_done, Some(&snapshot));
-            }
-            // Publish to the result cache: the run is complete and the
-            // result is a pure function of (digest, spec, seed), so
-            // future identical submits answer from here byte-for-byte.
+        if !cancelled {
+            // Publish to the result cache before the phase flips: the
+            // run is complete and the result is a pure function of
+            // (digest, spec, seed), so an identical submit made as soon
+            // as anyone can see `done` answers from here byte-for-byte.
             self.cache.insert(
                 CacheKey::new(
                     shared.store_digest,
@@ -981,16 +964,35 @@ impl JobManager {
                     spec.pool_threads.is_some(),
                 ),
                 CachedResult {
-                    snapshot,
+                    snapshot: snapshot.clone(),
                     steps_done,
                 },
             );
-            self.observe_terminal(id, JobPhase::Done, steps_done);
         }
+        let phase = if cancelled {
+            JobPhase::Cancelled
+        } else {
+            JobPhase::Done
+        };
+        let mut state = shared.state.lock().expect("job poisoned");
+        state.snapshot = Some(snapshot.clone());
+        state.phase = phase;
+        if !cancelled {
+            state.progress = 1.0;
+        }
+        drop(state);
+        if let Some(journal) = &self.journal {
+            let snapshot = (!cancelled).then_some(&snapshot);
+            journal.terminal(id, phase, None, steps_done, snapshot);
+        }
+        self.observe_terminal(id, phase, steps_done);
         self.touch(shared);
     }
 
-    /// Sequential chunked execution; returns whether cancelled.
+    /// Chunked execution of any job; returns whether it was cancelled
+    /// and the attempts it ran, or why it cannot run (a pooled spec
+    /// for a sampler the pool has no law for, reachable only through
+    /// journal replay — submit validation rejects it up front).
     ///
     /// A job carrying a journal checkpoint restarts from it —
     /// bit-identical to never having paused (the runner's resume
@@ -998,14 +1000,15 @@ impl JobManager {
     /// spec drift) is discarded and the job re-runs from scratch,
     /// which determinism makes bit-identical too: recovery never has
     /// a wrong answer, only a slower one.
-    fn run_sequential(
+    fn run_chunked(
         &self,
         id: u64,
         shared: &JobShared,
         graph: &MmapGraph,
         estimator: &mut JobEstimator,
-    ) -> bool {
+    ) -> Result<(bool, u64), String> {
         let spec = &shared.spec;
+        let pooled = spec.pool_threads.is_some();
         // Charged-query tap: delegation is bit-identical (pinned in
         // fs-graph), so arming the counter cannot change the estimate.
         // On checkpoint resume the count restarts at zero — it profiles
@@ -1016,8 +1019,13 @@ impl JobManager {
         let checkpoint = shared.resume.lock().expect("job poisoned").take();
         let mut runner = None;
         if let Some(ck) = checkpoint {
+            let resumed = if pooled {
+                ChunkedRunner::resume_pooled(&spec.sampler, &access, &ck.runner)
+            } else {
+                ChunkedRunner::resume(&spec.sampler, &access, &ck.runner)
+            };
             match (
-                ChunkedRunner::resume(&spec.sampler, &access, &ck.runner),
+                resumed,
                 JobEstimator::resume(spec.estimator, &spec.sampler, &ck.estimator),
             ) {
                 (Ok(r), Ok(e)) => {
@@ -1042,22 +1050,30 @@ impl JobManager {
                 }
             }
         }
-        let mut runner = runner.unwrap_or_else(|| {
-            ChunkedRunner::new(
+        let mut runner = match runner {
+            Some(runner) => runner,
+            None if pooled => ChunkedRunner::new_pooled(
                 &spec.sampler,
                 &access,
                 &CostModel::unit(),
                 spec.budget,
                 spec.seed,
-            )
-        });
+            )?,
+            None => ChunkedRunner::new(
+                &spec.sampler,
+                &access,
+                &CostModel::unit(),
+                spec.budget,
+                spec.seed,
+            ),
+        };
         let mut chunks_since_checkpoint = 0u64;
         let mut busy_us = 0u64;
         let mut chunks = 0u64;
         let mut queries_reported = 0u64;
         loop {
             if shared.cancel.load(Ordering::Relaxed) {
-                return true;
+                return Ok((true, runner.steps_done()));
             }
             let chunk_start = Instant::now();
             let status = runner.run_chunk(self.chunk, |sample| estimator.observe(graph, sample));
@@ -1086,7 +1102,7 @@ impl JobManager {
             };
             drop(state);
             if status == ChunkStatus::Finished {
-                return false;
+                return Ok((false, runner.steps_done()));
             }
             if let Some(journal) = &self.journal {
                 chunks_since_checkpoint += 1;
@@ -1120,100 +1136,5 @@ impl JobManager {
         }
         self.observe_terminal(id, JobPhase::Failed, steps_done);
         self.touch(shared);
-    }
-
-    /// Pooled execution (deterministic at any thread count); returns
-    /// whether cancelled, or an error for sampler kinds the pool does
-    /// not support (reachable only through journal replay — submit
-    /// validation rejects them up front).
-    fn run_pooled(
-        &self,
-        shared: &JobShared,
-        graph: &MmapGraph,
-        threads: usize,
-        estimator: &mut JobEstimator,
-    ) -> Result<bool, String> {
-        let spec = &shared.spec;
-        // The generation phase below is uninterruptible (its length is
-        // bounded by the pooled-budget cap at submit); honour a cancel
-        // that arrived while the job was queued.
-        if shared.cancel.load(Ordering::Relaxed) {
-            return Ok(true);
-        }
-        // Same charged-query tap as the sequential path: the pool's
-        // reductions are thread-count independent, and the counter is
-        // write-only from the walk's point of view.
-        let query_counter = Arc::new(ShardedCounter::new());
-        let access = CountedAccess::new(graph, Arc::clone(&query_counter));
-        let pool = ParallelWalkerPool::with_threads(threads);
-        let mut budget = Budget::new(spec.budget);
-        let walk_start = Instant::now();
-        let run = match spec.sampler {
-            SamplerSpec::Frontier { m } => pool.frontier(
-                &FrontierSampler::new(m),
-                &access,
-                &CostModel::unit(),
-                &mut budget,
-                spec.seed,
-            ),
-            SamplerSpec::Multiple { m } => pool.multiple_rw(
-                &MultipleRw::new(m),
-                &access,
-                &CostModel::unit(),
-                &mut budget,
-                spec.seed,
-            ),
-            ref other => {
-                return Err(format!(
-                    "pooled execution supports frontier and multiple samplers, not '{}'",
-                    other.label()
-                ))
-            }
-        };
-        let walk_us = walk_start.elapsed().as_micros() as u64;
-        let queries = query_counter.get();
-        if let Some(obs) = self.obs() {
-            obs.access_queries.add(queries);
-        }
-        let profile_base = JobProfile {
-            chunks: 0,
-            busy_us: walk_us,
-            queries,
-            budget_spent: budget.spent(),
-            budget_total: budget.total(),
-        };
-        let total = run.steps.len().max(1);
-        let mut fed = 0usize;
-        let mut feed_us = 0u64;
-        for (chunk_idx, step_chunk) in run.steps.chunks(self.chunk).enumerate() {
-            if shared.cancel.load(Ordering::Relaxed) {
-                return Ok(true);
-            }
-            let chunk_start = Instant::now();
-            for step in step_chunk {
-                if let Some(edge) = step.outcome.sampled() {
-                    estimator.observe(graph, Sample::Edge(edge));
-                }
-            }
-            let chunk_us = chunk_start.elapsed().as_micros() as u64;
-            feed_us += chunk_us;
-            if let Some(obs) = self.obs() {
-                obs.job_chunks.incr();
-                obs.chunk_latency_us.record(chunk_us);
-            }
-            fed += step_chunk.len();
-            let mut state = shared.state.lock().expect("job poisoned");
-            state.steps_done = fed as u64;
-            state.progress = fed as f64 / total as f64;
-            state.snapshot = Some(estimator.snapshot());
-            state.profile = JobProfile {
-                chunks: chunk_idx as u64 + 1,
-                busy_us: profile_base.busy_us + feed_us,
-                ..profile_base
-            };
-            drop(state);
-            self.touch(shared);
-        }
-        Ok(false)
     }
 }

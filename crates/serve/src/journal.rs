@@ -662,11 +662,19 @@ fn sampler_wire(spec: &SamplerSpec) -> (&'static str, u64, f64) {
 mod tests {
     use super::*;
 
-    fn tmp(tag: &str) -> PathBuf {
+    /// Serializes the tests that append: the failpoint registry is
+    /// process-global, so a test arming `journal.append` would fail the
+    /// appends of one running beside it.
+    static APPENDS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// A fresh journal directory, and the append lock held for the
+    /// test's duration.
+    fn tmp(tag: &str) -> (PathBuf, std::sync::MutexGuard<'static, ()>) {
+        let serial = APPENDS.lock().unwrap_or_else(|e| e.into_inner());
         let dir =
             std::env::temp_dir().join(format!("fs_serve_journal_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        dir
+        (dir, serial)
     }
 
     fn spec(seed: u64) -> JobSpec {
@@ -686,7 +694,7 @@ mod tests {
 
     #[test]
     fn round_trips_submit_checkpoint_terminal() {
-        let dir = tmp("rt");
+        let (dir, _serial) = tmp("rt");
         {
             let (journal, replay) = open(&dir);
             assert!(replay.jobs.is_empty());
@@ -742,7 +750,7 @@ mod tests {
 
     #[test]
     fn later_checkpoint_wins_and_torn_tail_is_truncated() {
-        let dir = tmp("torn");
+        let (dir, _serial) = tmp("torn");
         {
             let (journal, _) = open(&dir);
             journal.submit(1, &spec(5), 1);
@@ -775,7 +783,7 @@ mod tests {
 
     #[test]
     fn garbage_tail_and_flipped_byte_are_contained() {
-        let dir = tmp("garbage");
+        let (dir, _serial) = tmp("garbage");
         {
             let (journal, _) = open(&dir);
             journal.submit(1, &spec(5), 1);
@@ -810,7 +818,7 @@ mod tests {
 
     #[test]
     fn injected_enospc_truncates_back_and_keeps_serving() {
-        let dir = tmp("enospc");
+        let (dir, _serial) = tmp("enospc");
         let stats = Arc::new(DurabilityStats::default());
         let (journal, _) = Journal::open(&dir, Arc::clone(&stats)).unwrap();
         journal.submit(1, &spec(5), 1);
@@ -841,7 +849,7 @@ mod tests {
 
     #[test]
     fn hostile_frame_headers_truncate_instead_of_panicking() {
-        let dir = tmp("hostile");
+        let (dir, _serial) = tmp("hostile");
         {
             let (journal, _) = open(&dir);
             journal.submit(1, &spec(5), 1);
@@ -886,7 +894,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_and_future_version_are_refused() {
-        let dir = tmp("magic");
+        let (dir, _serial) = tmp("magic");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("jobs.fsjl"), b"NOTAJRNL").unwrap();
         assert!(Journal::open(&dir, Arc::new(DurabilityStats::default())).is_err());

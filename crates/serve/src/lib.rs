@@ -37,9 +37,9 @@
 //!
 //! A job submitted with seed `s` returns results **bit-identical** to
 //! the equivalent direct library call with seed `s` — sequential
-//! (`ChunkedRunner` contract) and pooled (`ParallelWalkerPool`'s
-//! thread-count-independent reductions). Pinned end-to-end by the
-//! `determinism` integration test.
+//! (`ChunkedRunner` contract) and pooled (`ChunkedRunner::new_pooled`
+//! replays `ParallelWalkerPool`'s thread-count-independent law). Pinned
+//! end-to-end by the `determinism` integration test.
 //!
 //! ## Quickstart
 //!

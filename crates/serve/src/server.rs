@@ -60,10 +60,6 @@ pub struct Config {
     pub root: PathBuf,
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
     pub addr: String,
-    /// Retained for configuration compatibility with the threaded
-    /// server; the epoll reactor multiplexes every connection on one
-    /// thread, so this knob is ignored.
-    pub conn_workers: usize,
     /// Job worker threads.
     pub job_workers: usize,
     /// Maximum queued jobs (back-pressure → `429`).
@@ -94,7 +90,6 @@ impl Config {
         Config {
             root: root.into(),
             addr: "127.0.0.1:0".to_string(),
-            conn_workers: 4,
             job_workers: 2,
             max_queue: 256,
             store_capacity: 8,

@@ -115,10 +115,9 @@ fn bad_job_specs_are_client_errors() {
             "server limit",
         ),
         (
-            // Pooled budgets are capped: the pool's generation phase is
-            // uninterruptible, so unbounded pooled jobs would make
-            // cancellation/shutdown latency unbounded.
-            "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":4,\"budget\":1000000000,\"seed\":1,\"estimator\":\"avg_degree\",\"pool_threads\":2}",
+            // Pooled MultipleRW budgets are capped: its runner arm
+            // buffers one lane group's traces. (Pooled FS has no cap.)
+            "{\"store\":\"ba.fsg\",\"sampler\":\"multiple\",\"m\":4,\"budget\":1000000000,\"seed\":1,\"estimator\":\"avg_degree\",\"pool_threads\":2}",
             400,
             "capped",
         ),
@@ -185,7 +184,6 @@ fn routing_edges() {
 fn concurrent_submission_and_polling_32_in_flight() {
     let dir = store_dir("proto_conc", 500, 5);
     let mut config = Config::new(&dir);
-    config.conn_workers = 8;
     config.job_workers = 4;
     let server = Server::start(config).unwrap();
     let addr = server.addr();
@@ -449,6 +447,62 @@ fn job_lifecycle_status_codes_are_stable() {
     assert_eq!(status, 404);
     let (status, _) = request(addr, "DELETE", "/v1/jobs/123456789", None);
     assert_eq!(status, 404);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pooled_jobs_cancel_mid_walk_within_a_chunk() {
+    let dir = store_dir("proto_pool_cancel", 2_000, 13);
+    let server = Server::start(Config::new(&dir)).unwrap();
+    let addr = server.addr();
+    // Pooled FS takes any budget; pooled MultipleRW sits at its cap,
+    // with enough walkers that its lane groups are short.
+    for (sampler, m, budget) in [("fs", 16, 1e9), ("multiple", 1_000, 1e8)] {
+        let body = format!(
+            "{{\"store\":\"ba.fsg\",\"sampler\":\"{sampler}\",\"m\":{m},\"budget\":{budget},\
+             \"seed\":3,\"estimator\":\"avg_degree\",\"pool_threads\":2}}"
+        );
+        let (status, text) = request(addr, "POST", "/v1/jobs", Some(&body));
+        assert_eq!(status, 202, "{text}");
+        let id = parse(&text).get("id").unwrap().as_u64().unwrap();
+        let steps = |doc: &fs_serve::json::Json| doc.get("steps_done").unwrap().as_u64().unwrap();
+        // Wait until the walk is under way.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            let doc = parse(&request(addr, "GET", &format!("/v1/jobs/{id}"), None).1);
+            if steps(&doc) > 0 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{sampler}: never started"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let (status, text) = request(addr, "DELETE", &format!("/v1/jobs/{id}"), None);
+        assert_eq!(status, 200, "{text}");
+        // Anything seen after the cancel was flagged is at most the one
+        // chunk in flight away from where the job stops.
+        let seen = steps(&parse(
+            &request(addr, "GET", &format!("/v1/jobs/{id}"), None).1,
+        ));
+        let doc = wait_terminal(addr, id);
+        assert_eq!(
+            doc.get("phase").unwrap().as_str(),
+            Some("cancelled"),
+            "{sampler}"
+        );
+        let stopped = steps(&doc);
+        assert!(
+            stopped >= seen && stopped - seen <= 8_192,
+            "{sampler}: ran on from {seen} to {stopped} after the cancel"
+        );
+        assert!(
+            (stopped as f64) < budget / 10.0,
+            "{sampler}: ran to {stopped}"
+        );
+    }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,9 +18,9 @@ mod common;
 
 use common::{parse, request, store_dir, wait_terminal};
 use frontier_sampling::runner::{
-    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, SamplerSpec,
+    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
 };
-use frontier_sampling::CostModel;
+use frontier_sampling::{Budget, CostModel, FrontierSampler, MultipleRw, ParallelWalkerPool};
 use fs_graph::failpoint::ArmedGuard;
 use fs_serve::journal::{DurabilityStats, Journal};
 use fs_serve::json::Json;
@@ -165,6 +165,108 @@ fn resumed_job_completes_bit_identical_after_simulated_crash() {
     assert_eq!(status, 202, "{body}");
     let new_id = parse(&body).get("id").unwrap().as_u64().unwrap();
     assert!(new_id > 1, "journaled id reused: {new_id}");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The walker-pool library call a pooled job must match bit for bit.
+fn library_pooled(graph: &MmapGraph, sampler: &SamplerSpec, seed: u64) -> EstimateSnapshot {
+    let pool = ParallelWalkerPool::with_threads(2);
+    let mut budget = Budget::new(BUDGET);
+    let run = match *sampler {
+        SamplerSpec::Frontier { m } => pool.frontier(
+            &FrontierSampler::new(m),
+            graph,
+            &CostModel::unit(),
+            &mut budget,
+            seed,
+        ),
+        SamplerSpec::Multiple { m } => pool.multiple_rw(
+            &MultipleRw::new(m),
+            graph,
+            &CostModel::unit(),
+            &mut budget,
+            seed,
+        ),
+        ref other => panic!("no pooled form of {}", other.label()),
+    };
+    let mut est = JobEstimator::new(EstimatorSpec::AverageDegree, sampler).unwrap();
+    for edge in run.edges() {
+        est.observe(graph, Sample::Edge(edge));
+    }
+    est.snapshot()
+}
+
+#[test]
+fn pooled_jobs_resume_bit_identical_after_simulated_crash() {
+    let _guard = lock();
+    let dir = store_dir("recovery_pooled", 2_000, 26);
+    let store_path = dir.join("ba.fsg");
+    let graph = MmapGraph::open(&store_path).unwrap();
+    let digest = fs_store::file_digest(&store_path).unwrap();
+    let seed = 4_242u64;
+    // m = 40 MultipleRW walkers span three lane groups; the checkpoint
+    // below lands inside the second.
+    let samplers = [
+        SamplerSpec::Frontier { m: 16 },
+        SamplerSpec::Multiple { m: 40 },
+    ];
+
+    // The journal a SIGKILLed server would have left: both pooled jobs
+    // accepted and checkpointed mid-walk, neither finished.
+    {
+        let (journal, _) = Journal::open(
+            &dir.join("journal"),
+            std::sync::Arc::new(DurabilityStats::default()),
+        )
+        .unwrap();
+        for (id, sampler) in (1u64..).zip(&samplers) {
+            let job = JobSpec {
+                sampler: sampler.clone(),
+                pool_threads: Some(2),
+                ..spec(seed)
+            };
+            let mut est = JobEstimator::new(job.estimator, &job.sampler).unwrap();
+            let mut runner =
+                ChunkedRunner::new_pooled(&job.sampler, &graph, &CostModel::unit(), BUDGET, seed)
+                    .unwrap();
+            while runner.steps_done() < 12_000 {
+                assert_eq!(
+                    runner.run_chunk(4_096, |s| est.observe(&graph, s)),
+                    ChunkStatus::InProgress,
+                    "budget too small to stop mid-run"
+                );
+            }
+            journal.submit(id, &job, digest);
+            journal.checkpoint(
+                id,
+                runner.steps_done(),
+                &runner.serialize(),
+                &est.serialize(),
+            );
+        }
+    }
+
+    let server = server_over(&dir);
+    let addr = server.addr();
+    wait_ready(addr);
+    for (id, sampler) in (1u64..).zip(&samplers) {
+        let doc = wait_terminal(addr, id);
+        assert_eq!(doc.get("phase").unwrap().as_str(), Some("done"));
+        assert_estimate_matches(
+            &doc,
+            &library_pooled(&graph, sampler, seed),
+            &format!("resumed pooled {}", sampler.label()),
+        );
+    }
+    let health = wait_ready(addr);
+    let durability = health.get("durability").expect("durability counters");
+    assert_eq!(
+        durability
+            .get("resumed_from_checkpoint")
+            .and_then(|v| v.as_u64()),
+        Some(2)
+    );
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

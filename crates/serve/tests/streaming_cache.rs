@@ -321,3 +321,98 @@ fn result_cache_eviction_races_streaming_and_stays_deterministic() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Reads a job's stream to its terminal line and returns that line.
+fn stream_to_end(addr: std::net::SocketAddr, id: u64) -> Json {
+    let mut session = Session::connect(addr);
+    session.send("GET", &format!("/v1/jobs/{id}/stream"), None);
+    assert_eq!(session.read_stream_head(), 200);
+    let mut last = None;
+    while let Some(chunk) = session.read_chunk() {
+        last = Some(parse(chunk.trim_end()));
+    }
+    last.expect("stream produced no lines")
+}
+
+#[test]
+fn resubmit_right_after_the_terminal_line_hits_the_cache() {
+    let dir = store_dir("cache_race", 1_500, 27);
+    let mut config = Config::new(&dir);
+    // A journal puts an fsync between the terminal record and the
+    // cache insert's old position; a second, endless job keeps waking
+    // the reactor, so a stream sees `done` as soon as it is published.
+    config.journal_dir = Some(dir.join("journal"));
+    let server = Server::start(config).unwrap();
+    let addr = server.addr();
+    // The journal replays off-thread (503) even when it is new.
+    while request(addr, "GET", "/healthz", None).0 != 200 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let endless = "{\"store\":\"ba.fsg\",\"sampler\":\"single\",\"budget\":1000000000,\
+                   \"seed\":1,\"estimator\":\"avg_degree\"}";
+    let endless_id = submit(addr, endless).get("id").unwrap().as_u64().unwrap();
+
+    for seed in 40..52u64 {
+        let spec = format!(
+            "{{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":8,\"budget\":40000,\
+             \"seed\":{seed},\"estimator\":\"avg_degree\"}}"
+        );
+        let id = submit(addr, &spec).get("id").unwrap().as_u64().unwrap();
+        let last = stream_to_end(addr, id);
+        assert_eq!(last.get("phase").unwrap().as_str(), Some("done"));
+        let hit = submit(addr, &spec);
+        assert_eq!(
+            hit.get("phase").unwrap().as_str(),
+            Some("done"),
+            "seed {seed}: resubmit after the terminal line missed the cache"
+        );
+        let hit_id = hit.get("id").unwrap().as_u64().unwrap();
+        let (_, hit_body) = request(addr, "GET", &format!("/v1/jobs/{hit_id}"), None);
+        assert_eq!(
+            parse(&hit_body).get("cached").unwrap().as_bool(),
+            Some(true)
+        );
+        let (_, cold_body) = request(addr, "GET", &format!("/v1/jobs/{id}"), None);
+        assert_eq!(estimate_bytes(&cold_body), estimate_bytes(&hit_body));
+    }
+    request(addr, "DELETE", &format!("/v1/jobs/{endless_id}"), None);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pooled_fs_shares_the_cache_with_its_sequential_twin() {
+    let dir = store_dir("cache_fs_twin", 1_500, 28);
+    let server = Server::start(Config::new(&dir)).unwrap();
+    let addr = server.addr();
+    for (sampler, twin_cached) in [("fs", true), ("multiple", false)] {
+        let sequential = format!(
+            "{{\"store\":\"ba.fsg\",\"sampler\":\"{sampler}\",\"m\":8,\"budget\":50000,\
+             \"seed\":5,\"estimator\":\"degree_dist\"}}"
+        );
+        let id = submit(addr, &sequential)
+            .get("id")
+            .unwrap()
+            .as_u64()
+            .unwrap();
+        wait_terminal(addr, id);
+        let (_, cold_body) = request(addr, "GET", &format!("/v1/jobs/{id}"), None);
+
+        let pooled = sequential.replace("}", ",\"pool_threads\":2}");
+        let twin = submit(addr, &pooled);
+        let twin_id = twin.get("id").unwrap().as_u64().unwrap();
+        let doc = wait_terminal(addr, twin_id);
+        assert_eq!(doc.get("phase").unwrap().as_str(), Some("done"));
+        assert_eq!(
+            doc.get("cached").unwrap().as_bool(),
+            Some(twin_cached),
+            "{sampler}: pooled twin of a sequential job"
+        );
+        let (_, twin_body) = request(addr, "GET", &format!("/v1/jobs/{twin_id}"), None);
+        if twin_cached {
+            assert_eq!(estimate_bytes(&cold_body), estimate_bytes(&twin_body));
+        }
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

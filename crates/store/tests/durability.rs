@@ -11,6 +11,15 @@ use fs_graph::failpoint::ArmedGuard;
 use fs_graph::GraphAccess;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// The two tests arm the same site, so they take turns: one's armed
+/// fault would otherwise fail the other's unarmed writes.
+static FAILPOINTS: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -29,6 +38,7 @@ fn residue(dir: &PathBuf) -> Vec<String> {
 
 #[test]
 fn failed_write_is_invisible_and_retry_succeeds() {
+    let _serial = serial();
     let g = fs_gen::barabasi_albert(500, 3, &mut rand::rngs::SmallRng::seed_from_u64(11));
     let dir = tmp_dir("invisible");
     let path = dir.join("g.fsg");
@@ -60,6 +70,7 @@ fn failed_write_is_invisible_and_retry_succeeds() {
 
 #[test]
 fn failed_rewrite_preserves_the_existing_store() {
+    let _serial = serial();
     let g1 = fs_gen::barabasi_albert(300, 2, &mut rand::rngs::SmallRng::seed_from_u64(5));
     let g2 = fs_gen::barabasi_albert(400, 3, &mut rand::rngs::SmallRng::seed_from_u64(6));
     let dir = tmp_dir("preserve");
