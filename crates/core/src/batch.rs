@@ -38,7 +38,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// One lane's full resumable state, as captured by
-/// [`WalkerBatch::lane_states`] and restored by
+/// [`WalkerBatch::lane_state`] and restored by
 /// [`WalkerBatch::from_lane_states`]. Degree and row are stored
 /// verbatim (not re-derived from the backend) so a restored lane
 /// continues exactly the trajectory it was on — including lanes whose
@@ -92,16 +92,14 @@ impl WalkerBatch {
         }
     }
 
-    /// Captures every lane's resumable state for checkpointing.
-    pub fn lane_states(&self) -> Vec<LaneState> {
-        (0..self.len())
-            .map(|lane| LaneState {
-                vertex: self.vertex[lane],
-                degree: self.degree[lane],
-                row: self.row[lane],
-                rng: self.rng[lane].state(),
-            })
-            .collect()
+    /// Captures one lane's resumable state for checkpointing.
+    pub fn lane_state(&self, lane: usize) -> LaneState {
+        LaneState {
+            vertex: self.vertex[lane],
+            degree: self.degree[lane],
+            row: self.row[lane],
+            rng: self.rng[lane].state(),
+        }
     }
 
     /// Rebuilds a batch from captured lane states. The scratch arrays
@@ -233,13 +231,17 @@ impl FsEventBatch {
         }
     }
 
-    /// Captures the group's resumable state: each lane's walker state
-    /// plus its pending clock.
-    pub fn checkpoint(&self) -> (Vec<LaneState>, Vec<Option<f64>>) {
-        (self.batch.lane_states(), self.next_fire.clone())
+    /// Captures the group's resumable state into `lanes` and
+    /// `next_fire` (each lane's walker state plus its pending clock),
+    /// reusing their allocations.
+    pub fn save_into(&self, lanes: &mut Vec<LaneState>, next_fire: &mut Vec<Option<f64>>) {
+        lanes.clear();
+        lanes.extend((0..self.batch.len()).map(|lane| self.batch.lane_state(lane)));
+        next_fire.clear();
+        next_fire.extend_from_slice(&self.next_fire);
     }
 
-    /// Rebuilds a group from [`FsEventBatch::checkpoint`] output.
+    /// Rebuilds a group from [`FsEventBatch::save_into`] output.
     ///
     /// # Panics
     /// Panics if `lanes` and `next_fire` differ in length.

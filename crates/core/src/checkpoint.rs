@@ -3,7 +3,7 @@
 //! A serving tier that promises *a job with seed `s` equals the library
 //! call with seed `s`* can only survive restarts if a paused run resumes
 //! **bit-identically** — same RNG words, same budget head-room, same
-//! buffered events, same estimator accumulators, down to the last f64
+//! walker positions, same estimator accumulators, down to the last f64
 //! bit. This module provides the codec that
 //! [`crate::runner::ChunkedRunner::serialize`] and
 //! [`crate::runner::JobEstimator::serialize`] build on, plus the error
@@ -27,19 +27,8 @@
 //! fall back to re-running from scratch, which the determinism contract
 //! makes equally correct, just slower.
 
+use fs_graph::fnv1a64;
 use std::fmt;
-
-/// FNV-1a 64-bit hash — the same checksum the `.fsg` store format
-/// trails its sections with, re-implemented here so `frontier-sampling`
-/// stays dependency-free.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Why a checkpoint blob was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,7 +37,8 @@ pub enum CheckpointError {
     Truncated,
     /// The magic bytes are not this blob type's.
     BadMagic,
-    /// The version is newer than this build understands.
+    /// The version is one this build does not read: newer than it
+    /// understands, or a retired older layout.
     UnsupportedVersion(u32),
     /// The trailing FNV-1a-64 checksum does not match the content.
     ChecksumMismatch,
@@ -345,12 +335,5 @@ mod tests {
         let (mut dec, _) = Decoder::with_checked_header(&blob, MAGIC, 1).unwrap();
         let _ = dec.take_u64().unwrap();
         assert!(matches!(dec.finish(), Err(CheckpointError::Malformed(_))));
-    }
-
-    #[test]
-    fn fnv_vector() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

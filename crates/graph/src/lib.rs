@@ -58,6 +58,7 @@ pub mod components;
 pub mod counted;
 pub mod csr;
 pub mod failpoint;
+pub mod fnv;
 pub mod graph;
 pub mod ids;
 pub mod io;
@@ -82,6 +83,7 @@ pub use components::{
     ConnectedComponents,
 };
 pub use counted::CountedAccess;
+pub use fnv::{fnv1a64, Fnv1a};
 pub use graph::{Arc, Graph};
 pub use ids::{ArcId, GroupId, VertexId};
 pub use labels::VertexGroups;

@@ -54,7 +54,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use frontier_sampling::checkpoint::{fnv1a64, Decoder, Encoder};
+use frontier_sampling::checkpoint::{Decoder, Encoder};
+use fs_graph::fnv1a64;
 
 /// Journal file magic.
 const JOURNAL_MAGIC: [u8; 4] = *b"FSJL";

@@ -40,6 +40,7 @@
 //! flipped payload bit fails [`verify_checksums`] — never undefined
 //! behaviour (see the safety argument in DESIGN.md §Storage layer).
 
+use fs_graph::{fnv1a64, Fnv1a};
 use std::fmt;
 use std::io;
 use std::ops::Range;
@@ -176,51 +177,6 @@ impl From<io::Error> for StoreError {
 
 pub(crate) fn format_err<T>(message: impl Into<String>) -> Result<T, StoreError> {
     Err(StoreError::Format(message.into()))
-}
-
-/// FNV-1a 64-bit streaming hasher — the container's checksum function.
-/// Chosen over a table-driven CRC because it is a three-line loop with
-/// no dependencies, byte-order independent, and fast enough to hash a
-/// hundred megabytes in well under a second.
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the offset basis.
-    pub fn new() -> Self {
-        Fnv1a(Self::OFFSET_BASIS)
-    }
-
-    /// Folds `bytes` into the running hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// The current hash value.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One-shot FNV-1a 64 of `bytes`.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
 }
 
 /// Decoded fixed header of a store file.
@@ -563,7 +519,7 @@ pub fn resolve_sections(layout: &Layout) -> Result<ResolvedSections, StoreError>
 /// Verifies every section checksum against the full file contents.
 pub fn verify_checksums(bytes: &[u8], layout: &Layout) -> Result<(), StoreError> {
     for s in &layout.sections {
-        if fnv1a(&bytes[s.range()]) != s.hash {
+        if fnv1a64(&bytes[s.range()]) != s.hash {
             return Err(StoreError::Checksum {
                 section: s.id.name(),
             });
@@ -597,24 +553,12 @@ pub fn file_digest(path: impl AsRef<std::path::Path>) -> Result<u64, StoreError>
     // Validate what we digest (magic, version, header hash) so a digest
     // of garbage cannot collide with a digest of a real store.
     parse_layout(&head, file_len)?;
-    Ok(fnv1a(&head))
+    Ok(fnv1a64(&head))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-        let mut h = Fnv1a::new();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.finish(), fnv1a(b"foobar"), "streaming == one-shot");
-    }
 
     #[test]
     fn kind_roundtrip() {

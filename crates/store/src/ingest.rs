@@ -29,9 +29,10 @@
 //! layout, same checksums — one canonical file per graph, whichever
 //! path produced it.
 
-use crate::format::{Fnv1a, SectionId, StoreError, StoreKind};
+use crate::format::{SectionId, StoreError, StoreKind};
 use crate::writer::{assemble, u32_bytes, u64_bytes, HeaderFields, SectionData};
 use fs_graph::io::{parse_edge_list_line, EdgeListRecord as Record};
+use fs_graph::Fnv1a;
 use fs_graph::VertexGroups;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};

@@ -9,11 +9,10 @@
 //! store file is laid out and checksummed by exactly one code path.
 
 use crate::format::{
-    fnv1a, Fnv1a, SectionId, StoreError, StoreKind, HEADER_LEN, MAGIC, SECTION_ALIGN,
-    SECTION_ENTRY_LEN, VERSION,
+    SectionId, StoreError, StoreKind, HEADER_LEN, MAGIC, SECTION_ALIGN, SECTION_ENTRY_LEN, VERSION,
 };
 use fs_graph::failpoint::{self, Fault};
-use fs_graph::{Graph, WeightedGraph};
+use fs_graph::{fnv1a64, Fnv1a, Graph, WeightedGraph};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -50,7 +49,7 @@ impl SectionData {
 
     fn hash(&self) -> u64 {
         match self {
-            SectionData::Bytes(b) => fnv1a(b),
+            SectionData::Bytes(b) => fnv1a64(b),
             SectionData::Spooled { hash, .. } => *hash,
         }
     }
